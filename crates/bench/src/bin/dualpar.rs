@@ -39,8 +39,6 @@
 //!     --timeout-secs 300              # fail (not hang) runs over 5 min
 //! cargo run --release -p dualpar-bench --bin dualpar -- suite \
 //!     --timeout-secs 300 --retry 2    # re-run failed entries up to twice
-//! cargo run --release -p dualpar-bench --bin dualpar -- suite \
-//!     --shards 4                      # sharded engine inside each run
 //! ```
 //!
 //! A specification names the cluster configuration (all fields optional —
@@ -109,21 +107,6 @@ fn reject_unknown_flags(args: &[String], expected: &str) {
     }
 }
 
-/// Pull `--shards N` out of the argument list; defaults to 1 (all event
-/// windows execute inline on the calling thread).
-fn take_shards(args: &mut Vec<String>) -> usize {
-    match take_flag(args, "--shards") {
-        None => 1,
-        Some(v) => match v.parse::<usize>() {
-            Ok(n) if n >= 1 => n,
-            _ => {
-                eprintln!("--shards requires a positive integer, got {v:?}");
-                std::process::exit(2);
-            }
-        },
-    }
-}
-
 fn main() {
     let mut args: Vec<String> = std::env::args().collect();
     if args.get(1).map(String::as_str) == Some("suite") {
@@ -144,7 +127,6 @@ fn main() {
         return;
     }
     let trace_path = take_flag(&mut args, "--trace");
-    let shards = take_shards(&mut args);
     let telemetry = take_flag(&mut args, "--telemetry").map(|lvl| match lvl.as_str() {
         "off" => TelemetryLevel::Off,
         "counters" => TelemetryLevel::Counters,
@@ -154,12 +136,12 @@ fn main() {
             std::process::exit(2);
         }
     });
-    reject_unknown_flags(&args, "--telemetry, --trace, --shards or --example");
+    reject_unknown_flags(&args, "--telemetry, --trace or --example");
     let Some(path) = args.get(1) else {
         eprintln!(
-            "usage: dualpar <spec.json> [--telemetry off|counters|trace] [--trace <out.jsonl>] [--shards N]"
+            "usage: dualpar <spec.json> [--telemetry off|counters|trace] [--trace <out.jsonl>]"
         );
-        eprintln!("       dualpar suite [--jobs N] [--shards N] [--scale small|paper] [--spec <path>] [--out <path>] [--filter <substr>] [--filter-exact <name>] [--timeout-secs S] [--retry N] [--verify-serial]");
+        eprintln!("       dualpar suite [--jobs N] [--scale small|paper] [--spec <path>] [--out <path>] [--filter <substr>] [--filter-exact <name>] [--timeout-secs S] [--retry N] [--verify-serial]");
         eprintln!("       (or --example to print a spec template)");
         std::process::exit(2);
     };
@@ -181,7 +163,7 @@ fn main() {
         spec.cluster.telemetry.level = TelemetryLevel::Trace;
     }
     let mut cluster = build_cluster(&spec);
-    let report = cluster.run_sharded(shards);
+    let report = cluster.run();
     if let Some(out) = &trace_path {
         let mut w = std::io::BufWriter::new(std::fs::File::create(out).unwrap_or_else(|e| {
             eprintln!("cannot create {out}: {e}");
@@ -241,7 +223,6 @@ fn run_suite_command(mut args: Vec<String>) {
             std::process::exit(2);
         }
     };
-    let shards = take_shards(&mut args);
     let retries = match take_flag(&mut args, "--retry") {
         None => 0,
         Some(v) => match v.parse::<u32>() {
@@ -271,7 +252,7 @@ fn run_suite_command(mut args: Vec<String>) {
     };
     reject_unknown_flags(
         &args,
-        "--jobs, --shards, --scale, --spec, --out, --filter, --filter-exact, --timeout-secs, --retry or --verify-serial",
+        "--jobs, --scale, --spec, --out, --filter, --filter-exact, --timeout-secs, --retry or --verify-serial",
     );
     if args.len() > 1 {
         eprintln!("unexpected argument {:?}", args[1]);
@@ -316,12 +297,9 @@ fn run_suite_command(mut args: Vec<String>) {
             std::process::exit(2);
         }
     }
-    eprintln!(
-        "running {} experiments with --jobs {jobs} --shards {shards}",
-        entries.len()
-    );
+    eprintln!("running {} experiments with --jobs {jobs}", entries.len());
     let t0 = Instant::now();
-    let results = run_suite_entries(&entries, jobs, timeout, shards, retries);
+    let results = run_suite_entries(&entries, jobs, timeout, retries);
     let total_wall = t0.elapsed().as_secs_f64();
     let failed = results.iter().filter(|r| r.is_err()).count();
 
@@ -354,7 +332,6 @@ fn run_suite_command(mut args: Vec<String>) {
     }
 
     let mut summary = summarize_results(&results, jobs, total_wall);
-    summary.shards = shards;
     if let Some(walls) = serial_walls {
         // Replace the oversubscription-biased in-pool walls with the true
         // serial measurements the verification pass just produced.
@@ -429,10 +406,9 @@ fn run_profile_command(mut args: Vec<String>) {
         std::process::exit(2);
     }
     let trace_path = take_flag(&mut args, "--trace");
-    let shards = take_shards(&mut args);
-    reject_unknown_flags(&args, "--json, --text, --folded, --trace or --shards");
+    reject_unknown_flags(&args, "--json, --text, --folded or --trace");
     let Some(target) = args.get(1).cloned() else {
-        eprintln!("usage: dualpar profile <name|spec.json> [--json|--text|--folded] [--trace <out.jsonl>] [--shards N]");
+        eprintln!("usage: dualpar profile <name|spec.json> [--json|--text|--folded] [--trace <out.jsonl>]");
         eprintln!("       built-in names: quickstart, interference, or any suite entry (e.g. btio_dualpar)");
         std::process::exit(2);
     };
@@ -450,7 +426,7 @@ fn run_profile_command(mut args: Vec<String>) {
         spec.cluster.telemetry.level = TelemetryLevel::Trace;
     }
     let mut cluster = build_cluster(&spec);
-    let report = cluster.run_sharded(shards);
+    let report = cluster.run();
     if let Some(out) = &trace_path {
         let mut w = std::io::BufWriter::new(std::fs::File::create(out).unwrap_or_else(|e| {
             eprintln!("cannot create {out}: {e}");

@@ -18,7 +18,7 @@
 
 use crate::registry::{deserialize_preset, Workload};
 use dualpar_cluster::{Cluster, ClusterConfig, IoStrategy, ProgramSpec};
-use dualpar_sim::SimTime;
+use dualpar_sim::{SimDuration, SimTime};
 use dualpar_workloads::{Arrivals, DslWorkload, MpiIoTest};
 use serde::{Deserialize, Serialize, Value};
 
@@ -207,6 +207,11 @@ impl ExperimentSpec {
     pub fn validate(&self) -> Result<(), String> {
         if self.programs.is_empty() && self.arrivals.is_empty() {
             return Err("spec has neither programs nor arrivals".into());
+        }
+        if self.cluster.dualpar.sample_slot == SimDuration::ZERO {
+            // A zero slot would reschedule the EMC tick at the same
+            // instant forever.
+            return Err("cluster.dualpar.sample_slot must be > 0 ns, got 0".into());
         }
         for (i, p) in self.programs.iter().enumerate() {
             p.workload
@@ -458,5 +463,17 @@ mod tests {
             ..DslWorkload::default()
         });
         assert!(bad_dsl.validate().is_err());
+    }
+
+    #[test]
+    fn zero_sample_slot_is_rejected_naming_the_field() {
+        let mut spec = ExperimentSpec::default();
+        spec.cluster.dualpar.sample_slot = SimDuration::ZERO;
+        let err = spec.validate().expect_err("zero slot");
+        assert!(err.contains("cluster.dualpar.sample_slot"), "{err}");
+        // The JSON entry point rejects it too, instead of hanging the run.
+        let json = serde_json::to_string(&spec).expect("serialise");
+        let err = ExperimentSpec::from_json(&json).expect_err("zero slot from JSON");
+        assert!(err.contains("cluster.dualpar.sample_slot"), "{err}");
     }
 }

@@ -72,18 +72,9 @@ pub struct SuiteRun {
 
 /// Execute one entry start-to-finish on the calling thread.
 pub fn run_entry(entry: &SuiteEntry) -> SuiteRun {
-    run_entry_sharded(entry, 1)
-}
-
-/// [`run_entry`] on the sharded engine: server event windows execute on a
-/// pool of `shards` worker threads inside the run. The report and trace
-/// are byte-identical at every `shards` level — the partition into logical
-/// shards is fixed by the cluster topology, `shards` only picks where each
-/// window executes (see `docs/PERF.md`).
-pub fn run_entry_sharded(entry: &SuiteEntry, shards: usize) -> SuiteRun {
     let t0 = Instant::now();
     let mut cluster = build_cluster(&entry.spec);
-    let report = cluster.run_sharded(shards);
+    let report = cluster.run();
     let wall_secs = t0.elapsed().as_secs_f64();
     let trace_jsonl = (entry.spec.cluster.telemetry.level == TelemetryLevel::Trace).then(|| {
         let mut buf = Vec::new();
@@ -146,7 +137,7 @@ pub fn run_parallel_with_timeout(
     jobs: usize,
     timeout: Option<Duration>,
 ) -> Vec<SuiteRunResult> {
-    run_suite_entries(entries, jobs, timeout, 1, 0)
+    run_suite_entries(entries, jobs, timeout, 0)
 }
 
 /// One pooled pass over the entries: the building block under
@@ -155,17 +146,16 @@ fn run_pass(
     entries: &[SuiteEntry],
     jobs: usize,
     timeout: Option<Duration>,
-    shards: usize,
 ) -> Vec<SuiteRunResult> {
     let costs: Vec<u64> = entries.iter().map(|e| expected_cost(&e.spec)).collect();
     parallel_map_prioritized(entries, jobs, &costs, |_, e| {
         let Some(limit) = timeout else {
-            return Ok(run_entry_sharded(e, shards));
+            return Ok(run_entry(e));
         };
         // The deadline thread outlives the borrow of `e`, so it gets its
         // own copy of the entry.
         let owned = e.clone();
-        match run_with_deadline(move || run_entry_sharded(&owned, shards), limit) {
+        match run_with_deadline(move || run_entry(&owned), limit) {
             Ok(run) => Ok(run),
             Err(DeadlineError::TimedOut) => Err(FailedRun {
                 name: e.name.clone(),
@@ -191,10 +181,9 @@ pub fn run_suite_entries(
     entries: &[SuiteEntry],
     jobs: usize,
     timeout: Option<Duration>,
-    shards: usize,
     retries: u32,
 ) -> Vec<SuiteRunResult> {
-    let mut results = run_pass(entries, jobs, timeout, shards);
+    let mut results = run_pass(entries, jobs, timeout);
     for _ in 0..retries {
         let failed: Vec<usize> = results
             .iter()
@@ -206,7 +195,7 @@ pub fn run_suite_entries(
             break;
         }
         let again: Vec<SuiteEntry> = failed.iter().map(|&i| entries[i].clone()).collect();
-        for (slot, outcome) in failed.into_iter().zip(run_pass(&again, jobs, timeout, shards)) {
+        for (slot, outcome) in failed.into_iter().zip(run_pass(&again, jobs, timeout)) {
             results[slot] = outcome;
         }
     }
@@ -324,9 +313,6 @@ pub struct SuiteSummary {
     /// Format tag for downstream tooling.
     pub schema: &'static str,
     pub jobs: usize,
-    /// Shard workers each run executed with (`--shards`). Reports are
-    /// byte-identical at every level; only wall-clock figures respond.
-    pub shards: usize,
     /// Wall-clock for the whole suite, fan-out included.
     pub total_wall_secs: f64,
     /// Sum of the individual run walls. With `--verify-serial` these come
@@ -348,7 +334,6 @@ pub fn summarize(runs: &[SuiteRun], jobs: usize, total_wall_secs: f64) -> SuiteS
     SuiteSummary {
         schema: SUITE_SCHEMA,
         jobs,
-        shards: 1,
         total_wall_secs,
         serial_wall_secs_sum,
         speedup_estimate: if total_wall_secs > 0.0 {
@@ -395,7 +380,6 @@ pub fn summarize_results(
     SuiteSummary {
         schema: SUITE_SCHEMA,
         jobs,
-        shards: 1,
         total_wall_secs,
         serial_wall_secs_sum,
         speedup_estimate: if total_wall_secs > 0.0 {

@@ -5,33 +5,22 @@
 
 use crate::config::{ClusterConfig, CtxMode, IoStrategy, ProgramSpec};
 use crate::metrics::{ModeEvent, ProgramReport, RunReport};
-use crate::sharded::{CrossShardMsg, SEv, ServerShard, SubReq};
+use crate::server::{SEv, Server, SubReq};
 use dualpar_cache::{CacheConfig, GlobalCache, NodeId, OwnerId};
 use dualpar_core::{DualParConfig, Emc, ExecMode, IoClock, ProgramId, ReqDistTracker};
 use dualpar_disk::{Disk, IoCtx, IoKind};
 use dualpar_mpiio::{CoalescedIo, ProcessScript};
 use dualpar_pfs::{FileId, FileRegion, Pvfs};
-use dualpar_sim::{
-    merge_batches, EventId, EventQueue, Link, ShardPool, SimDuration, SimTime, Slab, SlabKey,
-    TimeSeries, WindowCell,
-};
-use dualpar_telemetry::{SpanId, SpanProfile, Telemetry, TelemetryConfig};
+use dualpar_sim::{EventId, EventQueue, Link, SimDuration, SimTime, Slab, SlabKey, TimeSeries};
+use dualpar_telemetry::{SpanId, SpanProfile, Telemetry};
 use dualpar_sim::{FxHashMap, FxHashSet};
 
 /// Safety valve: a single experiment should never need more events.
 const MAX_EVENTS: u64 = 2_000_000_000;
 
-/// Below this many events in a round, the next round runs its server
-/// windows inline on the coordinator: dispatching near-empty windows to
-/// worker threads costs more in barrier traffic than it saves. The
-/// threshold reads only simulation state, so the inline/parallel decision
-/// — which affects *where* windows run, never *what* they compute — is
-/// itself deterministic.
-const SMALL_ROUND_EVENTS: u64 = 64;
-
-/// Events driving the client shard (programs, processes, the cache, EMC).
-/// Everything server-side lives in [`crate::sharded::SEv`] on the per-data-
-/// server shards.
+/// Every event of the simulation. The client side (programs, processes,
+/// the cache, EMC) handles its variants here; data-server events are
+/// [`SEv`]s routed to [`Server::handle`].
 #[derive(Debug, Clone)]
 pub(crate) enum Ev {
     /// A program begins.
@@ -46,6 +35,8 @@ pub(crate) enum Ev {
     PhaseTimeout { prog: usize, seq: u64 },
     /// EMC sampling slot boundary.
     EmcTick,
+    /// An event for data server `server`.
+    Server { server: u32, ev: SEv },
 }
 
 /// Why a completion group exists — dispatched when its last sub-request
@@ -243,18 +234,16 @@ impl Program {
     }
 }
 
-/// The assembled cluster simulator: the client shard (programs, processes,
-/// cache, EMC) plus one [`ServerShard`] cell per data server. The cells
-/// are `Option`s only so the conservative-parallel runtime can move them
-/// to worker threads for a window and back; between rounds every cell is
-/// home (`Some`).
+/// The assembled cluster simulator: the client side (programs, processes,
+/// cache, EMC) plus one [`Server`] per data server, driven by one event
+/// queue.
 pub struct Cluster {
     pub(crate) cfg: ClusterConfig,
     pub(crate) queue: EventQueue<Ev>,
     pub(crate) pvfs: Pvfs,
     pub(crate) cache: GlobalCache,
     pub(crate) emc: Emc,
-    pub(crate) servers: Vec<Option<ServerShard>>,
+    pub(crate) servers: Vec<Server>,
     pub(crate) node_links: Vec<Link>,
     pub(crate) req_dist: Vec<ReqDistTracker>,
     pub(crate) procs: Vec<Proc>,
@@ -262,13 +251,6 @@ pub struct Cluster {
     pub(crate) groups: Slab<Group>,
     /// Monotonic sub-request id counter (ids are globally unique per run).
     pub(crate) next_sub_id: u64,
-    /// Outbound client→server requests of the current window, applied at
-    /// the barrier exchange.
-    pub(crate) outbox: Vec<(SimTime, CrossShardMsg)>,
-    /// The absolute time of the next scheduled `EmcTick`, which clips the
-    /// window horizon: the tick needs exclusive access to every shard, so
-    /// it runs in a serial section between rounds.
-    pub(crate) next_tick: Option<SimTime>,
     pub(crate) s2_inflight: FxHashMap<(u32, u64, u64), Vec<usize>>,
     pub(crate) rng: dualpar_sim::DetRng,
     pub(crate) timeline: TimeSeries,
@@ -316,7 +298,7 @@ impl Cluster {
         });
         let emc = Emc::new(cfg.dualpar.clone());
         let servers = (0..cfg.num_data_servers)
-            .map(|id| Some(ServerShard::new(id, &cfg)))
+            .map(|id| Server::new(id, &cfg))
             .collect();
         let node_links = (0..cfg.num_compute_nodes)
             .map(|_| Link::new(cfg.net_latency, cfg.net_bandwidth))
@@ -341,8 +323,6 @@ impl Cluster {
             programs: Vec::new(),
             groups: Slab::with_capacity(64),
             next_sub_id: 0,
-            outbox: Vec::new(),
-            next_tick: None,
             s2_inflight: FxHashMap::default(),
             timeline: TimeSeries::new(SimDuration::from_secs(1)),
             mode_events: Vec::new(),
@@ -478,10 +458,7 @@ impl Cluster {
 
     /// Access a server's disk (for trace inspection after a run).
     pub fn disk(&self, server: u32) -> &Disk {
-        &self.servers[server as usize]
-            .as_ref()
-            .expect("server cell home between rounds")
-            .disk
+        &self.servers[server as usize].disk
     }
 
     /// The telemetry instance (counters, series, and the event trace).
@@ -653,28 +630,27 @@ impl Cluster {
                 life = self.tele.span_open(stamp, at, "req.life", SpanId::INVALID, id);
                 stage = self.tele.span_open(stamp, at, "req.issue", life, id);
             }
-            // The request crosses the shard boundary: it rides the outbox
-            // to the barrier exchange, which schedules the server's Recv.
-            // `deliver ≥ now + net_latency ≥ horizon`, so the receiving
-            // window is always a later one.
+            // The request reaches the server over the network: its Recv
+            // fires at the delivery time.
             let deliver = self.node_links[node as usize].send(now, req_msg);
-            self.outbox.push((
+            let sub = SubReq {
+                id,
+                lbn,
+                sectors,
+                kind,
+                ctx,
+                group,
+                resp_bytes,
+                life,
+                stage,
+            };
+            self.queue.schedule(
                 deliver,
-                CrossShardMsg::Request {
+                Ev::Server {
                     server: server.0,
-                    sub: SubReq {
-                        id,
-                        lbn,
-                        sectors,
-                        kind,
-                        ctx,
-                        group,
-                        resp_bytes,
-                        life,
-                        stage,
-                    },
+                    ev: SEv::Recv(sub),
                 },
-            ));
+            );
         }
         n
     }
@@ -690,35 +666,8 @@ impl Cluster {
 
     // ----- the event loop ----------------------------------------------
 
-    /// Run until every program has finished, executing every shard inline
-    /// on the calling thread. Identical output to [`Cluster::run_sharded`]
-    /// at any shard count. Returns the report.
+    /// Run until every program has finished. Returns the report.
     pub fn run(&mut self) -> RunReport {
-        self.run_sharded(1)
-    }
-
-    /// Run until every program has finished, executing data-server windows
-    /// on up to `shards` worker threads (clamped to the server count;
-    /// `shards <= 1` runs everything inline).
-    ///
-    /// The algorithm is conservative parallel discrete-event simulation
-    /// with the network's one-way latency as lookahead. Each round:
-    ///
-    /// 1. `global_next` = earliest pending event across every shard.
-    /// 2. If the next EMC tick is at `global_next`, run a serial section
-    ///    instead (the tick reads every disk's seek window).
-    /// 3. Otherwise the window horizon is
-    ///    `min(global_next + net_latency, next_tick)`; every shard
-    ///    executes its events with `t < horizon` — in parallel, since no
-    ///    message sent inside the window can be delivered before the
-    ///    horizon.
-    /// 4. At the barrier, outbound batches are exchanged in an order that
-    ///    is a pure function of simulation state.
-    ///
-    /// `shards` therefore only chooses where windows execute; the
-    /// simulation's output — report, trace, spans — is byte-identical at
-    /// every value.
-    pub fn run_sharded(&mut self, shards: usize) -> RunReport {
         if self.tele.tracing() {
             // Lead the trace with the thresholds this run decides against,
             // so the offline auditor validates EMC transitions with the
@@ -737,180 +686,20 @@ impl Cluster {
         }
         if self.emc_active {
             let slot = self.cfg.dualpar.sample_slot;
-            let at = SimTime::ZERO + slot;
-            self.queue.schedule(at, Ev::EmcTick);
-            self.next_tick = Some(at);
+            self.queue.schedule(SimTime::ZERO + slot, Ev::EmcTick);
         }
-        let lookahead = self.cfg.net_latency;
-        let nservers = self.servers.len();
-        let pool: Option<ShardPool<ServerShard>> =
-            (shards > 1 && nservers > 1).then(|| ShardPool::new(shards.min(nservers)));
-        let mut active: Vec<usize> = Vec::with_capacity(nservers);
-        // No history before the first round: let the pool prove itself.
-        let mut last_round_events = u64::MAX;
-        loop {
-            let mut global = self.queue.peek_time();
-            for s in self.servers.iter_mut() {
-                let t = s.as_mut().expect("cell home between rounds").queue.peek_time();
-                global = match (global, t) {
-                    (Some(a), Some(b)) => Some(a.min(b)),
-                    (a, None) => a,
-                    (None, b) => b,
-                };
-            }
-            let Some(gn) = global else { break };
-            if self.next_tick == Some(gn) {
-                // Serial section: the EMC tick is the earliest event, and
-                // it reads every server's disk, so every cell must be
-                // home. Drain the client events at exactly this instant
-                // (the tick, plus anything scheduled alongside it); server
-                // events at the same instant run in the following window —
-                // a fixed, shard-count-independent ordering rule.
-                while self.queue.peek_time() == Some(gn) {
-                    let (now, ev) = self.queue.pop().expect("peeked event present");
-                    self.events_processed += 1;
-                    self.handle(now, ev);
-                    if self.finished_programs == self.programs.len() && !self.programs.is_empty()
-                    {
-                        break;
-                    }
-                }
-                self.exchange();
-                if self.finished_programs == self.programs.len() && !self.programs.is_empty() {
-                    break;
-                }
-                continue;
-            }
-            let mut horizon = gn.saturating_add(lookahead);
-            if let Some(tick) = self.next_tick {
-                horizon = horizon.min(tick);
-            }
-            active.clear();
-            for (i, s) in self.servers.iter_mut().enumerate() {
-                let peek = s.as_mut().expect("cell home between rounds").queue.peek_time();
-                if peek.is_some_and(|t| t < horizon) {
-                    active.push(i);
-                }
-            }
-            let server_events = if active.is_empty() {
-                // Client-only window. If every server queue is empty the
-                // servers are fully quiescent (disk work always has a
-                // DiskDone/DiskKick pending), so the client may run ahead
-                // of the lookahead — up to the next tick, or until it
-                // sends something a server must react to.
-                let all_empty = self
-                    .servers
-                    .iter_mut()
-                    .all(|s| s.as_mut().expect("cell home").queue.peek_time().is_none());
-                if all_empty {
-                    let h = self.next_tick.unwrap_or(SimTime::MAX);
-                    self.run_client_window(h, true);
-                } else {
-                    self.run_client_window(horizon, false);
-                }
-                0
-            } else if pool.is_some() && active.len() > 1 && last_round_events >= SMALL_ROUND_EVENTS
-            {
-                let pool = pool.as_ref().expect("checked");
-                let mut cells = std::mem::take(&mut self.servers);
-                let (sn, _) = pool.run_round(&mut cells, &active, horizon, || {
-                    self.run_client_window(horizon, false)
-                });
-                self.servers = cells;
-                sn
-            } else {
-                let mut sn = 0;
-                for &i in &active {
-                    sn += self.servers[i]
-                        .as_mut()
-                        .expect("cell home between rounds")
-                        .run_window(horizon);
-                }
-                self.run_client_window(horizon, false);
-                sn
-            };
-            self.events_processed += server_events;
-            assert!(
-                self.events_processed < MAX_EVENTS,
-                "event budget exceeded — runaway simulation"
-            );
-            last_round_events = server_events;
-            self.exchange();
-            if self.finished_programs == self.programs.len() && !self.programs.is_empty() {
-                break;
-            }
-        }
-        self.report()
-    }
-
-    /// Execute the client shard's events with `t < horizon`. Stops early
-    /// once every program has finished, or — in the extended (`stop_on_send`)
-    /// window used while the servers are quiescent — as soon as an event
-    /// queues an outbound request, which must reach its server before the
-    /// client may run past `deliver` time.
-    fn run_client_window(&mut self, horizon: SimTime, stop_on_send: bool) -> u64 {
-        let mut n = 0u64;
-        while self.queue.peek_time().is_some_and(|t| t < horizon) {
-            let (now, ev) = self.queue.pop().expect("peeked event present");
+        while let Some((now, ev)) = self.queue.pop() {
             self.events_processed += 1;
             assert!(
                 self.events_processed < MAX_EVENTS,
                 "event budget exceeded — runaway simulation"
             );
             self.handle(now, ev);
-            n += 1;
             if self.finished_programs == self.programs.len() && !self.programs.is_empty() {
                 break;
             }
-            if stop_on_send && !self.outbox.is_empty() {
-                break;
-            }
         }
-        n
-    }
-
-    /// The window barrier's message exchange. Applies the client's
-    /// outbound requests to the server queues in issue order, then merges
-    /// every server's ack batch into the client queue ordered by
-    /// `(deliver time, server)` — with ties inside one server kept in send
-    /// order. Both orders are pure functions of simulation state, so
-    /// delivery (and therefore FIFO pop order for same-time events) is
-    /// identical at every shard/thread count.
-    pub(crate) fn exchange(&mut self) {
-        for (deliver, msg) in self.outbox.drain(..) {
-            match msg {
-                CrossShardMsg::Request { server, sub } => {
-                    self.servers[server as usize]
-                        .as_mut()
-                        .expect("cell home at exchange")
-                        .queue
-                        .schedule(deliver, SEv::Recv(sub));
-                }
-                CrossShardMsg::Ack { .. } => unreachable!("client shard never emits acks"),
-            }
-        }
-        if self
-            .servers
-            .iter()
-            .all(|s| s.as_ref().expect("cell home").outbox.is_empty())
-        {
-            return;
-        }
-        let batches: Vec<Vec<(SimTime, CrossShardMsg)>> = self
-            .servers
-            .iter_mut()
-            .map(|s| std::mem::take(&mut s.as_mut().expect("cell home").outbox))
-            .collect();
-        for (t, _src, msg) in merge_batches(batches) {
-            match msg {
-                CrossShardMsg::Ack { group } => {
-                    self.queue.schedule(t, Ev::SubDone { group });
-                }
-                CrossShardMsg::Request { .. } => {
-                    unreachable!("server shards never emit requests")
-                }
-            }
-        }
+        self.report()
     }
 
     /// Static counter name for an event kind (dispatch accounting).
@@ -922,6 +711,7 @@ impl Cluster {
             Ev::GhostDone { .. } => "engine.ev.ghost_done",
             Ev::PhaseTimeout { .. } => "engine.ev.phase_timeout",
             Ev::EmcTick => "engine.ev.emc_tick",
+            Ev::Server { ev, .. } => Server::ev_counter(ev),
         }
     }
 
@@ -957,6 +747,9 @@ impl Cluster {
             Ev::GhostDone { prog, proc } => self.on_ghost_done(now, prog, proc),
             Ev::PhaseTimeout { prog, seq } => self.on_phase_timeout(now, prog, seq),
             Ev::EmcTick => self.on_emc_tick(now),
+            Ev::Server { server, ev } => {
+                self.servers[server as usize].handle(now, ev, &mut self.queue, &mut self.tele)
+            }
         }
     }
 
@@ -988,12 +781,9 @@ impl Cluster {
     }
 
     fn on_emc_tick(&mut self, now: SimTime) {
-        // Gather seek-distance samples from every data server. The tick
-        // runs in the serial section between rounds, so every shard cell
-        // is home and its disk is directly readable.
-        for s in self.servers.iter_mut() {
-            let shard = s.as_mut().expect("cell home in serial section");
-            if let Some(avg) = shard.disk.trace_mut().take_window_avg_seek() {
+        // Gather seek-distance samples from every data server.
+        for server in &mut self.servers {
+            if let Some(avg) = server.disk.trace_mut().take_window_avg_seek() {
                 self.emc.report_seek_dist(avg);
             }
         }
@@ -1076,12 +866,9 @@ impl Cluster {
             .any(|p| p.strategy == IoStrategy::DualPar && p.finish.is_none());
         if live {
             let slot = self.cfg.dualpar.sample_slot;
-            let at = now.saturating_add(slot);
-            self.queue.schedule(at, Ev::EmcTick);
-            self.next_tick = Some(at);
+            self.queue.schedule(now.saturating_add(slot), Ev::EmcTick);
         } else {
             self.emc_active = false;
-            self.next_tick = None;
         }
     }
 
@@ -1089,9 +876,9 @@ impl Cluster {
 
     /// Fold end-of-run substrate statistics (cache counters, disk seek and
     /// per-context service totals) into the telemetry registry so the final
-    /// snapshot carries them. Runs after the shard streams are absorbed, so
-    /// its events land at `end` — at or after every merged event — and the
-    /// trace stays time-ordered. No-op when telemetry is off.
+    /// snapshot carries them. Its events land at `end` — at or after every
+    /// recorded event — so the trace stays time-ordered. No-op when
+    /// telemetry is off.
     fn finalize_telemetry(&mut self, end: SimTime) {
         // The conservation identity must hold whether or not telemetry is
         // on; under strict invariants, verify it against a full rescan.
@@ -1114,8 +901,7 @@ impl Cluster {
         if self.tele.spans_enabled() {
             // Every lifecycle is complete by the time all programs finish:
             // state spans close at proc_done, request spans at delivery.
-            // Cross-shard closes were applied by the merge, so the check
-            // covers server-side lifecycles too. (Flush-daemon disk work
+            // (Flush-daemon disk work
             // can outlive the run, but it never opens spans — its ids are
             // stale by ack time.)
             let open = self.tele.spans().open_count();
@@ -1134,8 +920,8 @@ impl Cluster {
         self.tele.count("cache.bytes_evicted", cs.bytes_evicted);
         self.tele.gauge_set("cache.dirty_hwm", cs.dirty_hwm as f64);
         let mut seek_total = 0u64;
-        for i in 0..self.servers.len() {
-            let disk = &self.servers[i].as_ref().expect("cell home").disk;
+        for (i, server) in self.servers.iter().enumerate() {
+            let disk = &server.disk;
             let seek = disk.total_seek_distance();
             let busy = disk.total_busy().as_secs_f64();
             let per_ctx: Vec<f64> = disk
@@ -1157,22 +943,8 @@ impl Cluster {
     }
 
     fn report(&mut self) -> RunReport {
-        // The run ends where its last event ran, whichever shard that was.
-        let end = self.servers.iter().fold(self.queue.now(), |e, s| {
-            e.max(s.as_ref().expect("cell home").last_event_time)
-        });
-        // Stitch the per-shard telemetry streams into the client's: trace
-        // rings merge in `(time, shard, position)` order, span logs get
-        // their cross-shard closes applied, registries sum/max/merge.
-        let shard_teles: Vec<Telemetry> = self
-            .servers
-            .iter_mut()
-            .map(|s| {
-                let shard = s.as_mut().expect("cell home");
-                std::mem::replace(&mut shard.tele, Telemetry::new(&TelemetryConfig::default()))
-            })
-            .collect();
-        self.tele.absorb_shards(shard_teles);
+        // The run ends where its last event ran.
+        let end = self.queue.now();
         self.finalize_telemetry(end);
         let programs = self
             .programs
@@ -1209,11 +981,7 @@ impl Cluster {
             throughput_timeline: self.timeline.clone(),
             mode_events: self.mode_events.clone(),
             emc_improvement: self.emc_improvement.clone(),
-            disk_bytes: self
-                .servers
-                .iter()
-                .map(|s| s.as_ref().expect("cell home").disk.bytes_serviced())
-                .sum(),
+            disk_bytes: self.servers.iter().map(|s| s.disk.bytes_serviced()).sum(),
             events_processed: self.events_processed,
             telemetry: self.tele.snapshot(),
             span_profile,

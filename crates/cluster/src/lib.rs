@@ -10,7 +10,7 @@
 mod datadriven;
 mod engine;
 mod exec;
-mod sharded;
+mod server;
 
 pub mod builder;
 pub mod config;

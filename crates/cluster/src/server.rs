@@ -1,0 +1,302 @@
+//! One PVFS2 data server: its disk, response link, write-back buffer and
+//! the table of sub-requests in its disk path.
+//!
+//! The boundary is the paper's own architecture: client processes talk to
+//! data servers only through the network. A request reaches a server as an
+//! [`SEv::Recv`] scheduled at its delivery time, and the server answers
+//! with an [`Ev::SubDone`] scheduled at the ack's delivery time. Both ride
+//! the cluster's one event queue; this module never touches client state,
+//! and the client never touches a server's except through these messages
+//! (plus the EMC tick's read of each disk's seek window).
+
+use crate::config::{ClusterConfig, CtxMode, ServerWriteMode};
+use crate::engine::Ev;
+use dualpar_disk::{Disk, DiskRequest, IoCtx, IoKind, Lbn, StartOutcome};
+use dualpar_sim::{EventQueue, FxHashMap, Link, SimDuration, SimTime, SlabKey};
+use dualpar_telemetry::{SpanId, Telemetry};
+
+/// One disk-bound sub-request (a resolved LBN run on one server), carried
+/// over the wire from a client. The client mints `id`s from a monotonic
+/// counter and attaches everything the server needs to complete the
+/// request autonomously: the completion group to acknowledge, the response
+/// size, and the open client-side spans (`life`/`stage`) whose lifecycle
+/// the server continues.
+#[derive(Debug, Clone)]
+pub(crate) struct SubReq {
+    pub id: u64,
+    pub lbn: Lbn,
+    pub sectors: u64,
+    pub kind: IoKind,
+    pub ctx: IoCtx,
+    /// Completion group the ack resolves against (client-side slab key).
+    pub group: SlabKey,
+    /// Response payload size (data for reads, zero for writes).
+    pub resp_bytes: u64,
+    /// The sub-request's `req.life` span (INVALID when spans are off).
+    pub life: SpanId,
+    /// The open `req.issue` stage span the server closes on receipt.
+    pub stage: SpanId,
+}
+
+/// Server-side record of a sub-request that is in the disk path (queued or
+/// in service). Write-back writes are acknowledged at receipt and never
+/// enter this map, so a flush-daemon replay of their ids is a clean miss.
+#[derive(Debug, Clone, Copy)]
+struct PendingSub {
+    group: SlabKey,
+    resp_bytes: u64,
+    life: SpanId,
+    /// The currently-open lifecycle stage (`server.queue` → `disk.service`).
+    stage: SpanId,
+}
+
+/// Events handled by one data server (wrapped in [`Ev::Server`]).
+#[derive(Debug, Clone)]
+pub(crate) enum SEv {
+    /// A request message arrived at this server's NIC.
+    Recv(SubReq),
+    /// Poke the disk (idle-anticipation timer expired).
+    DiskKick,
+    /// The disk finished its in-flight request.
+    DiskDone,
+    /// The write-back daemon flushes the dirty buffer.
+    Flush,
+}
+
+/// One data server's simulation state.
+pub(crate) struct Server {
+    id: u32,
+    pub disk: Disk,
+    /// The server's response NIC (serializes acks back to the clients).
+    link: Link,
+    /// Buffered (acknowledged, unflushed) writes in WriteBack mode.
+    dirty: Vec<DiskRequest>,
+    flush_scheduled: bool,
+    pending: FxHashMap<u64, PendingSub>,
+    write_mode: ServerWriteMode,
+    msg_header: u64,
+    flush_interval: SimDuration,
+    /// The flush daemon's effective disk context, fixed by `ctx_mode`.
+    flush_ctx: IoCtx,
+}
+
+impl Server {
+    pub fn new(id: u32, cfg: &ClusterConfig) -> Self {
+        // The daemon is one kernel context; what the disk scheduler sees
+        // depends on the context mode (mirrors `Cluster::effective_ctx`
+        // for program 0 and the daemon's fine identity).
+        let flush_ctx = match cfg.ctx_mode {
+            CtxMode::PerServer => IoCtx(0),
+            CtxMode::PerClient => IoCtx(0xFFFF_FFFF),
+            CtxMode::PerProgram => IoCtx(1),
+        };
+        Server {
+            id,
+            disk: Disk::new(cfg.disk.clone(), cfg.scheduler, cfg.trace_disks),
+            link: Link::new(cfg.net_latency, cfg.net_bandwidth),
+            dirty: Vec::new(),
+            flush_scheduled: false,
+            pending: FxHashMap::default(),
+            write_mode: cfg.server_write_mode,
+            msg_header: cfg.msg_header,
+            flush_interval: cfg.server_flush_interval,
+            flush_ctx,
+        }
+    }
+
+    /// Static counter name for an event kind (dispatch accounting).
+    pub fn ev_counter(ev: &SEv) -> &'static str {
+        match ev {
+            SEv::Recv(_) => "engine.ev.server_recv",
+            SEv::DiskKick => "engine.ev.disk_kick",
+            SEv::DiskDone => "engine.ev.disk_done",
+            SEv::Flush => "engine.ev.server_flush",
+        }
+    }
+
+    pub fn handle(
+        &mut self,
+        now: SimTime,
+        ev: SEv,
+        queue: &mut EventQueue<Ev>,
+        tele: &mut Telemetry,
+    ) {
+        match ev {
+            SEv::Recv(sub) => self.on_recv(now, sub, queue, tele),
+            SEv::DiskKick => {
+                if !self.disk.is_busy() {
+                    self.kick_disk(now, queue, tele);
+                }
+            }
+            SEv::DiskDone => self.on_disk_done(now, queue, tele),
+            SEv::Flush => self.on_flush(now, queue, tele),
+        }
+    }
+
+    fn schedule(&self, queue: &mut EventQueue<Ev>, at: SimTime, ev: SEv) {
+        queue.schedule(
+            at,
+            Ev::Server {
+                server: self.id,
+                ev,
+            },
+        );
+    }
+
+    /// Send the ack for `group` back to its client; returns its delivery
+    /// time.
+    fn ack(
+        &mut self,
+        now: SimTime,
+        group: SlabKey,
+        resp_bytes: u64,
+        queue: &mut EventQueue<Ev>,
+    ) -> SimTime {
+        let deliver = self
+            .link
+            .send(now, self.msg_header.saturating_add(resp_bytes));
+        queue.schedule(deliver, Ev::SubDone { group });
+        deliver
+    }
+
+    fn on_recv(
+        &mut self,
+        now: SimTime,
+        sub: SubReq,
+        queue: &mut EventQueue<Ev>,
+        tele: &mut Telemetry,
+    ) {
+        let req = DiskRequest::new(sub.id, sub.ctx, sub.kind, sub.lbn, sub.sectors, now);
+        let buffer_write =
+            sub.kind == IoKind::Write && self.write_mode == ServerWriteMode::WriteBack;
+        if buffer_write {
+            // Acknowledge immediately; the flush daemon owns the disk
+            // write from here.
+            let deliver = self.ack(now, sub.group, sub.resp_bytes, queue);
+            if tele.spans_enabled() {
+                // Buffered ack: the queue/disk stages are owned by the
+                // flush daemon, so the lifecycle skips straight from issue
+                // to ack.
+                let stamp = now.as_secs_f64();
+                tele.span_close(stamp, sub.stage, stamp);
+                let ack = tele.span_open(stamp, stamp, "req.ack", sub.life, sub.id);
+                tele.span_close(stamp, ack, deliver.as_secs_f64());
+                tele.span_close(stamp, sub.life, deliver.as_secs_f64());
+            }
+            self.dirty.push(req);
+            if !self.flush_scheduled {
+                self.flush_scheduled = true;
+                self.schedule(queue, now.saturating_add(self.flush_interval), SEv::Flush);
+            }
+        } else {
+            let mut stage = SpanId::INVALID;
+            if tele.spans_enabled() {
+                let stamp = now.as_secs_f64();
+                tele.span_close(stamp, sub.stage, stamp);
+                stage = tele.span_open(stamp, stamp, "server.queue", sub.life, sub.id);
+            }
+            self.pending.insert(
+                sub.id,
+                PendingSub {
+                    group: sub.group,
+                    resp_bytes: sub.resp_bytes,
+                    life: sub.life,
+                    stage,
+                },
+            );
+            self.disk.enqueue(req);
+            tele.gauge_max("disk.queue_depth_max", self.disk.queued() as f64);
+            if !self.disk.is_busy() {
+                self.kick_disk(now, queue, tele);
+            }
+        }
+    }
+
+    fn on_flush(&mut self, now: SimTime, queue: &mut EventQueue<Ev>, tele: &mut Telemetry) {
+        self.flush_scheduled = false;
+        let mut dirty = std::mem::take(&mut self.dirty);
+        if dirty.is_empty() {
+            return;
+        }
+        // The flush daemon is one kernel context issuing in LBN order —
+        // pdflush behaviour.
+        dirty.sort_by_key(|r| r.lbn);
+        for mut r in dirty {
+            r.ctx = self.flush_ctx;
+            self.disk.enqueue(r);
+        }
+        if !self.disk.is_busy() {
+            self.kick_disk(now, queue, tele);
+        }
+        // The next timer is armed by the next write arrival.
+    }
+
+    fn on_disk_done(&mut self, now: SimTime, queue: &mut EventQueue<Ev>, tele: &mut Telemetry) {
+        let req = self.disk.complete();
+        let (sid, rid) = (self.id as u64, req.id);
+        tele.event(now.as_secs_f64(), "disk", "done", |e| {
+            e.u64("server", sid).u64("id", rid)
+        });
+        for &id in req.merged_ids() {
+            // A write-back flush can replay ids already acknowledged at
+            // receipt; those were never inserted into `pending`, so the
+            // lookup is a clean miss.
+            if let Some(p) = self.pending.remove(&id) {
+                let deliver = self.ack(now, p.group, p.resp_bytes, queue);
+                if tele.spans_enabled() {
+                    let stamp = now.as_secs_f64();
+                    tele.span_close(stamp, p.stage, stamp);
+                    let ack = tele.span_open(stamp, stamp, "req.ack", p.life, id);
+                    tele.span_close(stamp, ack, deliver.as_secs_f64());
+                    tele.span_close(stamp, p.life, deliver.as_secs_f64());
+                }
+            }
+        }
+        self.kick_disk(now, queue, tele);
+    }
+
+    fn kick_disk(&mut self, now: SimTime, queue: &mut EventQueue<Ev>, tele: &mut Telemetry) {
+        match self.disk.try_start(now) {
+            StartOutcome::Started { finish } => {
+                if tele.spans_enabled() {
+                    // Queue merging is final once dispatch starts, so every
+                    // absorbed sub-request enters service here. Flush-daemon
+                    // replays carry ids retired at ack time and miss the
+                    // pending map.
+                    if let Some(req) = self.disk.in_flight() {
+                        let stamp = now.as_secs_f64();
+                        for &id in req.merged_ids() {
+                            if let Some(p) = self.pending.get_mut(&id) {
+                                let (life, stage) = (p.life, p.stage);
+                                tele.span_close(stamp, stage, stamp);
+                                p.stage = tele.span_open(stamp, stamp, "disk.service", life, id);
+                            }
+                        }
+                    }
+                }
+                if tele.tracing() {
+                    if let Some(req) = self.disk.in_flight() {
+                        let (id, lbn, sectors) = (req.id, req.lbn, req.sectors);
+                        let op = match req.kind {
+                            IoKind::Read => "read",
+                            IoKind::Write => "write",
+                        };
+                        let sid = self.id as u64;
+                        tele.event(now.as_secs_f64(), "disk", "start", |e| {
+                            e.u64("server", sid)
+                                .u64("id", id)
+                                .u64("lbn", lbn)
+                                .u64("sectors", sectors)
+                                .str("op", op)
+                        });
+                    }
+                }
+                self.schedule(queue, finish, SEv::DiskDone);
+            }
+            StartOutcome::Idle { until } => {
+                self.schedule(queue, until, SEv::DiskKick);
+            }
+            StartOutcome::Quiescent => {}
+        }
+    }
+}

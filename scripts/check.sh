@@ -83,15 +83,6 @@ cargo run --release --offline -q -p dualpar-bench --bin dualpar -- \
     suite --spec examples/specs/multitenant.json --jobs 4 --verify-serial \
     --out "$dsl/suite.json"
 
-# Shard-determinism gate: the sharded engine must not move a single byte
-# of any report or trace (see docs/PERF.md). Re-run the multi-tenant
-# scenario with server event windows on four shard workers and
-# byte-compare report and trace against the --shards 1 artifacts above.
-cargo run --release --offline -q -p dualpar-bench --bin dualpar -- \
-    examples/specs/multitenant.json --shards 4 --trace "$dsl/trace4.jsonl" \
-    > "$dsl/report4.json"
-cmp "$dsl/report.json" "$dsl/report4.json"
-cmp "$dsl/trace.jsonl" "$dsl/trace4.jsonl"
 # Schema-migration smoke: the committed v0-era specs (no version field,
 # closed-enum-era workload tags) must still load and run.
 cargo run --release --offline -q -p dualpar-bench --bin dualpar -- \
@@ -109,13 +100,11 @@ cargo bench --offline -p dualpar-bench --bench hot_path -- --test
 # report divergence between --jobs N and serial), a per-run wall-clock
 # timeout so a hung simulation fails its entry instead of wedging the
 # gate (one retry before an entry is declared failed), and engine-speed
-# numbers timed into the log (see docs/BENCH.md). The pooled pass runs at
-# --shards 4 while the --verify-serial twins run fully inline, so this is
-# also the whole-suite shard-determinism gate.
+# numbers timed into the log (see docs/BENCH.md).
 suite_out="$(mktemp -d /tmp/dualpar-suite.XXXXXX)"
 trap 'rm -f "$golden"; rm -rf "$prof" "$dsl" "$suite_out"' EXIT
 time cargo run --release --offline -q -p dualpar-bench --bin dualpar -- \
-    suite --jobs "$(nproc)" --shards 4 --scale small --verify-serial \
+    suite --jobs "$(nproc)" --scale small --verify-serial \
     --timeout-secs 300 --retry 1 --out "$suite_out/BENCH_suite.json"
 
 # Suite gate: diff the artifact the smoke run just produced against the

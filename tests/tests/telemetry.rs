@@ -183,3 +183,54 @@ fn levels_gate_what_is_recorded() {
     let trace = run(TelemetryLevel::Trace);
     assert!(trace.telemetry.expect("trace-level snapshot").trace_events > 0);
 }
+
+/// `trace_capacity` bounds the whole run's exported trace, however many
+/// data servers emitted into it, and the kept suffix of a span-on trace
+/// still audits clean once the dropped prefix is tolerated.
+#[test]
+fn trace_capacity_bounds_the_export_and_the_suffix_audits_clean() {
+    use dualpar_audit::{audit_jsonl_str, AuditConfig};
+    use dualpar_bench::{build_cluster, ExperimentSpec};
+
+    let path =
+        std::path::Path::new(env!("CARGO_MANIFEST_DIR")).join("../examples/specs/multitenant.json");
+    let json = std::fs::read_to_string(&path).unwrap_or_else(|e| panic!("read {path:?}: {e}"));
+    let mut spec = ExperimentSpec::from_json(&json).expect("committed spec parses");
+    assert!(
+        spec.cluster.num_data_servers > 1,
+        "needs a multi-server spec"
+    );
+    spec.cluster.telemetry = TelemetryConfig {
+        level: TelemetryLevel::Trace,
+        trace_capacity: 512,
+        spans: true,
+    };
+    let mut cluster = build_cluster(&spec);
+    let report = cluster.run();
+    let snap = report.telemetry.expect("trace-level snapshot");
+    assert!(snap.trace_dropped > 0, "the run must overflow the ring");
+
+    let mut buf = Vec::new();
+    cluster.export_trace(&mut buf).expect("in-memory export");
+    let text = String::from_utf8(buf).expect("UTF-8 JSONL");
+    let records = text.lines().count();
+    assert!(
+        records <= 512,
+        "kept {records} records for a 512-record ring"
+    );
+    assert_eq!(records as u64, snap.trace_events);
+
+    let audit = audit_jsonl_str(
+        &text,
+        AuditConfig {
+            tolerate_truncation: true,
+            ..AuditConfig::default()
+        },
+    )
+    .expect("trace parses");
+    assert!(
+        audit.ok(),
+        "truncated trace has violations: {:?}",
+        audit.violations
+    );
+}
