@@ -123,6 +123,37 @@ fn bench_cache_store(c: &mut Criterion) {
             BatchSize::SmallInput,
         )
     });
+    // BTIO-shaped write buffering, as in data-driven tiny-write runs: 64
+    // ranks each write one 16 B cell per 1 KiB row, so every put_writes
+    // call carries 1024 strided pieces, 64 to a 64 KiB chunk.
+    let ranks = 64u64;
+    let steps = 4u64;
+    let rows = 1_024u64;
+    let cell = 16u64;
+    let row = cell * ranks;
+    g.throughput(Throughput::Elements(ranks * steps * rows));
+    g.bench_function("btio_put_writes", |b| {
+        b.iter_batched(
+            || GlobalCache::new(cfg.clone()),
+            |mut cache| {
+                let f = FileId(1);
+                let mut regions = Vec::with_capacity(rows as usize);
+                let mut homes = Vec::new();
+                let mut charged = 0u64;
+                for step in 0..steps {
+                    for rank in 0..ranks {
+                        let base = step * rows * row + rank * cell;
+                        regions.clear();
+                        regions.extend((0..rows).map(|i| FileRegion::new(base + i * row, cell)));
+                        cache.put_writes(OwnerId(rank), f, &regions, SimTime::ZERO, &mut homes);
+                        charged += homes.len() as u64;
+                    }
+                }
+                black_box((cache.dirty_bytes(), charged))
+            },
+            BatchSize::SmallInput,
+        )
+    });
     g.finish();
 }
 
@@ -139,8 +170,8 @@ fn bench_rangeset(c: &mut Criterion) {
             for i in 0..n {
                 let start = (i.wrapping_mul(2654435761)) % (1 << 22);
                 match i % 4 {
-                    0 | 1 => set.insert(start, 4096),
-                    2 => set.remove(start, 2048),
+                    0 | 1 => probe += set.insert(start, 4096),
+                    2 => probe += set.remove(start, 2048),
                     _ => probe += set.intersect_len(start, 8192),
                 }
             }

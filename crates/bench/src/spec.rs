@@ -213,6 +213,18 @@ impl ExperimentSpec {
             // instant forever.
             return Err("cluster.dualpar.sample_slot must be > 0 ns, got 0".into());
         }
+        // Zero layout or cache geometry would divide by zero when striping
+        // a file or placing a cache chunk.
+        let c = &self.cluster;
+        for (field, zero) in [
+            ("cluster.stripe_size", c.stripe_size == 0),
+            ("cluster.num_data_servers", c.num_data_servers == 0),
+            ("cluster.num_compute_nodes", c.num_compute_nodes == 0),
+        ] {
+            if zero {
+                return Err(format!("{field} must be > 0, got 0"));
+            }
+        }
         for (i, p) in self.programs.iter().enumerate() {
             p.workload
                 .validate()
@@ -475,5 +487,26 @@ mod tests {
         let json = serde_json::to_string(&spec).expect("serialise");
         let err = ExperimentSpec::from_json(&json).expect_err("zero slot from JSON");
         assert!(err.contains("cluster.dualpar.sample_slot"), "{err}");
+    }
+
+    #[test]
+    fn zero_geometry_is_rejected_naming_the_field() {
+        let mut specs: [ExperimentSpec; 3] = Default::default();
+        specs[0].cluster.stripe_size = 0;
+        specs[1].cluster.num_data_servers = 0;
+        specs[2].cluster.num_compute_nodes = 0;
+        let fields = [
+            "cluster.stripe_size",
+            "cluster.num_data_servers",
+            "cluster.num_compute_nodes",
+        ];
+        for (spec, field) in specs.iter().zip(fields) {
+            let err = spec.validate().expect_err(field);
+            assert!(err.contains(field), "{err}");
+            // The JSON entry point rejects it before anything can panic.
+            let json = serde_json::to_string(spec).expect("serialise");
+            let err = ExperimentSpec::from_json(&json).expect_err(field);
+            assert!(err.contains(field), "{err}");
+        }
     }
 }

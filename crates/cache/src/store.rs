@@ -70,6 +70,22 @@ impl Chunk {
     }
 }
 
+/// The `(chunk index, piece)` decomposition of `region` into its
+/// per-chunk pieces, in file order, without allocating.
+fn chunk_pieces(chunk_size: u64, region: FileRegion) -> impl Iterator<Item = (u64, FileRegion)> {
+    let (first, last) = if region.len == 0 {
+        (1, 0) // empty range
+    } else {
+        (region.offset / chunk_size, (region.end() - 1) / chunk_size)
+    };
+    (first..=last).map(move |idx| {
+        let cs = idx * chunk_size;
+        let s = region.offset.max(cs);
+        let e = region.end().min(cs + chunk_size);
+        (idx, FileRegion::new(s, e - s))
+    })
+}
+
 /// Result of a cache read probe.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct ReadResult {
@@ -148,7 +164,7 @@ pub struct GlobalCache {
     /// Conservation-exact accounting of prefetched bytes.
     ledger: PrefetchLedger,
     /// Incremental mirror of [`GlobalCache::dirty_bytes`] — dirty data only
-    /// changes in `put_write` and `drain_dirty` (evictions skip dirty
+    /// changes in `put_writes` and `drain_dirty` (evictions skip dirty
     /// chunks), so a running total avoids the O(chunks) scan per update.
     dirty_now: u64,
 }
@@ -229,37 +245,6 @@ impl GlobalCache {
         NodeId(node)
     }
 
-    fn chunk_range(&self, region: FileRegion) -> (u64, u64) {
-        let first = region.offset / self.cfg.chunk_size;
-        let last = (region.end() - 1) / self.cfg.chunk_size;
-        (first, last)
-    }
-
-    /// Iterate the (chunk_idx, sub-region) decomposition of `region`.
-    fn per_chunk(&self, region: FileRegion) -> Vec<(u64, FileRegion)> {
-        if region.len == 0 {
-            return Vec::new();
-        }
-        let (first, last) = self.chunk_range(region);
-        let mut out = Vec::with_capacity((last - first + 1) as usize);
-        for idx in first..=last {
-            let cs = idx * self.cfg.chunk_size;
-            let ce = cs + self.cfg.chunk_size;
-            let s = region.offset.max(cs);
-            let e = region.end().min(ce);
-            out.push((idx, FileRegion::new(s, e - s)));
-        }
-        out
-    }
-
-    fn charge(&mut self, chunk: &mut Chunk, owner: OwnerId, added: u64) {
-        if added == 0 {
-            return;
-        }
-        chunk.charge(owner, added);
-        *self.usage.entry(owner).or_insert(0) += added;
-    }
-
     /// Insert prefetched data for `owner`. Returns `(home, bytes)` pairs for
     /// network-cost charging of the insertion.
     pub fn put_prefetch(
@@ -270,23 +255,21 @@ impl GlobalCache {
         now: SimTime,
     ) -> Vec<(NodeId, u64)> {
         let mut homes = Vec::new();
-        for (idx, sub) in self.per_chunk(region) {
-            let home = self.home_of(file, idx);
-            let mut chunk = self.chunks.remove(&(file, idx)).unwrap_or_default();
-            let before = chunk.present.covered();
-            let pf_before = chunk.prefetched_unused.covered();
-            chunk.present.insert(sub.offset, sub.len);
-            chunk.prefetched_unused.insert(sub.offset, sub.len);
+        let mut added = 0u64;
+        let mut pf_added = 0u64;
+        for (idx, piece) in chunk_pieces(self.cfg.chunk_size, region) {
+            let chunk = self.chunks.entry((file, idx)).or_default();
+            let a = chunk.present.insert(piece.offset, piece.len);
+            pf_added += chunk.prefetched_unused.insert(piece.offset, piece.len);
             chunk.last_ref = now;
-            let added = chunk.present.covered() - before;
-            let pf_added = chunk.prefetched_unused.covered() - pf_before;
-            self.ledger.inserted += pf_added;
-            self.ledger.unused_now = self.ledger.unused_now.saturating_add(pf_added);
-            self.charge(&mut chunk, owner, added);
-            self.chunks.insert((file, idx), chunk);
-            homes.push((home, sub.len));
+            chunk.charge(owner, a);
+            added += a;
+            homes.push((self.home_of(file, idx), piece.len));
         }
+        self.ledger.inserted += pf_added;
+        self.ledger.unused_now = self.ledger.unused_now.saturating_add(pf_added);
         dualpar_sim::strict_assert!(self.ledger.balanced(), "ledger after put_prefetch");
+        self.charge_usage(owner, added);
         self.stats.bytes_prefetched += region.len;
         *self.epoch_prefetched.entry(owner).or_insert(0) += region.len;
         for &(home, _) in &homes {
@@ -295,7 +278,8 @@ impl GlobalCache {
         homes
     }
 
-    /// Buffer a write for `owner` (data-driven mode write path).
+    /// Buffer a write for `owner` (data-driven mode write path): a
+    /// one-region [`GlobalCache::put_writes`].
     pub fn put_write(
         &mut self,
         owner: OwnerId,
@@ -304,33 +288,89 @@ impl GlobalCache {
         now: SimTime,
     ) -> Vec<(NodeId, u64)> {
         let mut homes = Vec::new();
-        let mut overwritten = 0u64;
-        for (idx, sub) in self.per_chunk(region) {
-            let home = self.home_of(file, idx);
-            let mut chunk = self.chunks.remove(&(file, idx)).unwrap_or_default();
-            let before = chunk.present.covered();
-            let dirty_before = chunk.dirty.covered();
-            let pf_before = chunk.prefetched_unused.covered();
-            chunk.present.insert(sub.offset, sub.len);
-            chunk.dirty.insert(sub.offset, sub.len);
-            self.dirty_now = self.dirty_now.saturating_add(chunk.dirty.covered() - dirty_before);
-            // Written bytes are live data, not speculative.
-            chunk.prefetched_unused.remove(sub.offset, sub.len);
-            overwritten += pf_before - chunk.prefetched_unused.covered();
-            chunk.last_ref = now;
-            let added = chunk.present.covered() - before;
-            self.charge(&mut chunk, owner, added);
-            self.chunks.insert((file, idx), chunk);
-            homes.push((home, sub.len));
+        self.put_writes(owner, file, std::slice::from_ref(&region), now, &mut homes);
+        homes
+    }
+
+    /// Buffer one write call's regions for `owner`, in order. `homes` is
+    /// cleared and refilled with the `(home, bytes)` pairs to charge for
+    /// the transfer, consecutive pieces on one home merged into one entry.
+    pub fn put_writes(
+        &mut self,
+        owner: OwnerId,
+        file: FileId,
+        regions: &[FileRegion],
+        now: SimTime,
+        homes: &mut Vec<(NodeId, u64)>,
+    ) {
+        homes.clear();
+        if self.cfg.node_capacity == u64::MAX {
+            self.buffer_writes(owner, file, regions, now, homes);
+            return;
         }
+        // A finite capacity evicts after every region; a later region may
+        // land in a chunk an earlier one's eviction freed, so keep that
+        // order rather than batching across regions.
+        for region in regions {
+            self.buffer_writes(owner, file, std::slice::from_ref(region), now, homes);
+            for (idx, _) in chunk_pieces(self.cfg.chunk_size, *region) {
+                self.enforce_node_capacity(self.home_of(file, idx));
+            }
+        }
+    }
+
+    /// The body of [`GlobalCache::put_writes`] without capacity
+    /// enforcement: one chunk lookup per run of consecutive pieces in the
+    /// same chunk, and counters and the owner's usage updated once.
+    fn buffer_writes(
+        &mut self,
+        owner: OwnerId,
+        file: FileId,
+        regions: &[FileRegion],
+        now: SimTime,
+        homes: &mut Vec<(NodeId, u64)>,
+    ) {
+        let cs = self.cfg.chunk_size;
+        let mut added = 0u64;
+        let mut dirtied = 0u64;
+        let mut overwritten = 0u64;
+        let mut pieces = regions.iter().flat_map(|&r| chunk_pieces(cs, r)).peekable();
+        while let Some((idx, mut piece)) = pieces.next() {
+            let chunk = self.chunks.entry((file, idx)).or_default();
+            let mut chunk_added = 0u64;
+            let mut bytes = 0u64;
+            loop {
+                chunk_added += chunk.present.insert(piece.offset, piece.len);
+                dirtied += chunk.dirty.insert(piece.offset, piece.len);
+                // Written bytes are live data, not speculative.
+                overwritten += chunk.prefetched_unused.remove(piece.offset, piece.len);
+                bytes += piece.len;
+                match pieces.next_if(|&(i, _)| i == idx) {
+                    Some((_, next)) => piece = next,
+                    None => break,
+                }
+            }
+            chunk.last_ref = now;
+            chunk.charge(owner, chunk_added);
+            added += chunk_added;
+            let home = self.home_of(file, idx);
+            match homes.last_mut() {
+                Some((h, b)) if *h == home => *b += bytes,
+                _ => homes.push((home, bytes)),
+            }
+        }
+        self.dirty_now = self.dirty_now.saturating_add(dirtied);
         self.ledger_remove(overwritten, |l| &mut l.overwritten);
         dualpar_sim::strict_assert!(self.ledger.balanced(), "ledger after put_write");
-        self.stats.bytes_written += region.len;
+        self.charge_usage(owner, added);
+        self.stats.bytes_written += regions.iter().map(|r| r.len).sum::<u64>();
         self.stats.dirty_hwm = self.stats.dirty_hwm.max(self.dirty_now);
-        for &(home, _) in &homes {
-            self.enforce_node_capacity(home);
+    }
+
+    fn charge_usage(&mut self, owner: OwnerId, added: u64) {
+        if added > 0 {
+            *self.usage.entry(owner).or_insert(0) += added;
         }
-        homes
     }
 
     /// Bytes currently cached on `node`.
@@ -389,14 +429,12 @@ impl GlobalCache {
         let mut found = 0u64;
         let mut consumed = 0u64;
         let mut homes = Vec::new();
-        for (idx, sub) in self.per_chunk(region) {
+        for (idx, piece) in chunk_pieces(self.cfg.chunk_size, region) {
             if let Some(chunk) = self.chunks.get_mut(&(file, idx)) {
-                let n = chunk.present.intersect_len(sub.offset, sub.len);
+                let n = chunk.present.intersect_len(piece.offset, piece.len);
                 if n > 0 {
                     found += n;
-                    let pf_before = chunk.prefetched_unused.covered();
-                    chunk.prefetched_unused.remove(sub.offset, sub.len);
-                    consumed += pf_before - chunk.prefetched_unused.covered();
+                    consumed += chunk.prefetched_unused.remove(piece.offset, piece.len);
                     chunk.last_ref = now;
                     homes.push((self.home_of(file, idx), n));
                 }
@@ -420,10 +458,10 @@ impl GlobalCache {
         if region.len == 0 {
             return true;
         }
-        self.per_chunk(region).iter().all(|(idx, sub)| {
+        chunk_pieces(self.cfg.chunk_size, region).all(|(idx, piece)| {
             self.chunks
-                .get(&(file, *idx))
-                .is_some_and(|c| c.present.contains_range(sub.offset, sub.len))
+                .get(&(file, idx))
+                .is_some_and(|c| c.present.contains_range(piece.offset, piece.len))
         })
     }
 

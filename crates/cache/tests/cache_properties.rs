@@ -1,7 +1,8 @@
 //! Property tests for the global cache: read-your-prefetch, quota
-//! consistency, and dirty-data conservation through drain.
+//! consistency, dirty-data conservation through drain, and batched
+//! write buffering matching the one-region path.
 
-use dualpar_cache::{CacheConfig, GlobalCache, OwnerId};
+use dualpar_cache::{CacheConfig, GlobalCache, NodeId, OwnerId};
 use dualpar_pfs::{FileId, FileRegion};
 use dualpar_sim::{SimDuration, SimTime};
 use proptest::prelude::*;
@@ -13,6 +14,40 @@ fn cache() -> GlobalCache {
         idle_ttl: SimDuration::from_secs(10),
         node_capacity: u64::MAX,
     })
+}
+
+fn cache_with(num_nodes: u32, node_capacity: u64) -> GlobalCache {
+    GlobalCache::new(CacheConfig {
+        chunk_size: 4096,
+        num_nodes,
+        idle_ttl: SimDuration::from_secs(10),
+        node_capacity,
+    })
+}
+
+/// Bytes per home node: all that the engine's cache access time reads
+/// from a homes list.
+fn per_node(homes: &[(NodeId, u64)]) -> std::collections::BTreeMap<NodeId, u64> {
+    let mut m = std::collections::BTreeMap::new();
+    for &(n, b) in homes {
+        *m.entry(n).or_insert(0) += b;
+    }
+    m
+}
+
+/// Assert two caches are indistinguishable through their public state.
+fn assert_same(a: &GlobalCache, b: &GlobalCache) {
+    assert_eq!(format!("{:?}", a.stats()), format!("{:?}", b.stats()));
+    assert_eq!(a.prefetch_ledger(), b.prefetch_ledger());
+    assert_eq!(a.dirty_bytes(), b.dirty_bytes());
+    assert_eq!(a.total_bytes(), b.total_bytes());
+    for o in 0..3 {
+        assert_eq!(
+            a.usage(OwnerId(o)),
+            b.usage(OwnerId(o)),
+            "usage of owner {o}"
+        );
+    }
 }
 
 proptest! {
@@ -96,6 +131,51 @@ proptest! {
         c.evict_idle(SimTime::from_secs(evict_at));
         prop_assert_eq!(c.dirty_bytes(), dirty_before, "eviction must not lose dirty data");
         prop_assert!(c.total_bytes() >= c.dirty_bytes());
+    }
+
+    /// One `put_writes` per call is indistinguishable from one `put_write`
+    /// per region: same stats, ledger, dirty bytes, usage, drained regions
+    /// and per-node transfer bytes, with and without capacity evictions.
+    /// Calls are strided pieces (BTIO-like, overlapping when the stride is
+    /// shorter than a piece) that straddle chunk boundaries, interleaved
+    /// with prefetches by several owners.
+    #[test]
+    fn put_writes_matches_per_region_put_write(
+        calls in proptest::collection::vec(
+            (any::<bool>(), 0u64..3, 0u64..40_000, 1u64..3_000, 1u64..2_000, 1u64..24), 1..24),
+        num_nodes in 2u32..5,
+        finite in any::<bool>(),
+    ) {
+        let capacity = if finite { 3 * 4096 } else { u64::MAX };
+        let mut batched = cache_with(num_nodes, capacity);
+        let mut single = cache_with(num_nodes, capacity);
+        let mut homes = Vec::new();
+        for (i, &(is_write, owner, base, stride, len, count)) in calls.iter().enumerate() {
+            let now = SimTime::from_millis(i as u64);
+            let owner = OwnerId(owner);
+            // Every fifth region is empty, which must change nothing.
+            let regions: Vec<FileRegion> = (0..count)
+                .map(|k| FileRegion::new(base + k * stride, if k % 5 == 4 { 0 } else { len }))
+                .collect();
+            if is_write {
+                batched.put_writes(owner, FileId(1), &regions, now, &mut homes);
+                let mut single_homes = Vec::new();
+                for &r in &regions {
+                    single_homes.extend(single.put_write(owner, FileId(1), r, now));
+                }
+                prop_assert_eq!(per_node(&homes), per_node(&single_homes));
+            } else {
+                for &r in &regions {
+                    batched.put_prefetch(owner, FileId(1), r, now);
+                    single.put_prefetch(owner, FileId(1), r, now);
+                }
+            }
+            assert_same(&batched, &single);
+        }
+        batched.assert_conservation();
+        single.assert_conservation();
+        prop_assert_eq!(batched.drain_dirty(), single.drain_dirty());
+        assert_same(&batched, &single);
     }
 
     /// Mis-prefetch ratio is always within [0, 1].

@@ -81,10 +81,8 @@ impl Cluster {
         let node = self.procs[p].node;
         let owner = self.procs[p].owner;
         let mut homes = std::mem::take(&mut self.homes_scratch);
-        homes.clear();
-        for r in &call.regions {
-            homes.extend(self.cache.put_write(owner, call.file, *r, now));
-        }
+        self.cache
+            .put_writes(owner, call.file, &call.regions, now, &mut homes);
         let latency = self.cache_access_time(node, &homes);
         self.homes_scratch = homes;
         let done = now.saturating_add(latency);

@@ -2,14 +2,17 @@
 //!
 //! Used by the global cache to track which bytes of a chunk are present or
 //! dirty, and by the CRM to compute holes between requests. Stored as a
-//! sorted `Vec<(start, end)>` of half-open intervals, merged on insert.
-
-use serde::{Deserialize, Serialize};
+//! sorted `Vec<(start, end)>` of half-open intervals, merged on insert,
+//! plus a running total of the bytes covered: `covered()` is O(1), and
+//! `insert`/`remove` report the bytes they changed so callers keep their
+//! own byte ledgers without before/after diffs.
 
 /// Set of disjoint half-open byte intervals `[start, end)`.
-#[derive(Debug, Clone, Default, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Default, PartialEq, Eq)]
 pub struct RangeSet {
     runs: Vec<(u64, u64)>,
+    /// Sum of `end - start` over `runs`.
+    covered: u64,
 }
 
 /// One-past-the-end offset of `[start, start+len)`. A range whose end
@@ -50,8 +53,9 @@ impl RangeSet {
     }
 
     /// Total bytes covered.
+    #[inline]
     pub fn covered(&self) -> u64 {
-        self.runs.iter().map(|&(s, e)| e - s).sum()
+        self.covered
     }
 
     /// Iterate the disjoint `(start, end)` runs in ascending order.
@@ -60,44 +64,64 @@ impl RangeSet {
     }
 
     /// Insert `[start, start+len)`, merging with touching/overlapping runs.
-    pub fn insert(&mut self, start: u64, len: u64) {
+    /// Returns the bytes newly covered.
+    pub fn insert(&mut self, start: u64, len: u64) -> u64 {
         if len == 0 {
-            return;
+            return 0;
         }
         let mut s = start;
         let mut e = range_end(start, len);
         // Find all runs overlapping or touching [s, e).
         let lo = self.runs.partition_point(|&(_, re)| re < s);
         let mut hi = lo;
+        let mut merged = 0u64;
         while hi < self.runs.len() && self.runs[hi].0 <= e {
-            s = s.min(self.runs[hi].0);
-            e = e.max(self.runs[hi].1);
+            let (rs, re) = self.runs[hi];
+            s = s.min(rs);
+            e = e.max(re);
+            merged += re - rs;
             hi += 1;
         }
-        self.runs.splice(lo..hi, [(s, e)]);
+        // `splice` costs measurably more here, on the cache's per-piece
+        // write path, than this insert-or-overwrite.
+        if hi == lo {
+            self.runs.insert(lo, (s, e));
+        } else {
+            self.runs[lo] = (s, e);
+            self.runs.drain(lo + 1..hi);
+        }
+        let added = (e - s) - merged;
+        self.covered += added;
+        added
     }
 
-    /// Remove `[start, start+len)` from the set.
-    pub fn remove(&mut self, start: u64, len: u64) {
-        if len == 0 || self.runs.is_empty() {
-            return;
+    /// Remove `[start, start+len)` from the set. Returns the bytes removed.
+    pub fn remove(&mut self, start: u64, len: u64) -> u64 {
+        if len == 0 {
+            return 0;
         }
         let s = start;
         let e = range_end(start, len);
-        let mut result = Vec::with_capacity(self.runs.len() + 1);
-        for &(rs, re) in &self.runs {
-            if re <= s || rs >= e {
-                result.push((rs, re));
-                continue;
-            }
-            if rs < s {
-                result.push((rs, s));
-            }
-            if re > e {
-                result.push((e, re));
-            }
+        // Runs lo..hi overlap [s, e); only the first and last can survive
+        // in part.
+        let lo = self.runs.partition_point(|&(_, re)| re <= s);
+        let mut hi = lo;
+        let mut removed = 0u64;
+        while hi < self.runs.len() && self.runs[hi].0 < e {
+            let (rs, re) = self.runs[hi];
+            removed += re.min(e) - rs.max(s);
+            hi += 1;
         }
-        self.runs = result;
+        if hi == lo {
+            return 0;
+        }
+        let first = self.runs[lo];
+        let last = self.runs[hi - 1];
+        let head = (first.0 < s).then_some((first.0, s));
+        let tail = (last.1 > e).then_some((e, last.1));
+        self.runs.splice(lo..hi, head.into_iter().chain(tail));
+        self.covered -= removed;
+        removed
     }
 
     /// Does the set fully cover `[start, start+len)`?
@@ -154,6 +178,7 @@ impl RangeSet {
     /// Remove everything.
     pub fn clear(&mut self) {
         self.runs.clear();
+        self.covered = 0;
     }
 }
 
@@ -279,7 +304,64 @@ mod tests {
             })
         }
 
+        #[derive(Debug, Clone, Copy)]
+        enum Op {
+            Insert(u64, u64),
+            Remove(u64, u64),
+            Clear,
+        }
+
+        /// Operations over a 256-byte window, so ranges often overlap,
+        /// touch and split one another. Clears are rare (1 in 17), so
+        /// sets grow fragmented first.
+        fn op() -> impl Strategy<Value = Op> {
+            (0u64..17, 0u64..256, 0u64..48).prop_map(|(k, s, l)| match k {
+                0..=7 => Op::Insert(s, l),
+                8..=15 => Op::Remove(s, l),
+                _ => Op::Clear,
+            })
+        }
+
         proptest! {
+            /// Random insert/remove/clear sequences against a byte-level
+            /// model: the running total, the returned deltas and the run
+            /// structure must all agree with it after every operation.
+            #[test]
+            fn matches_byte_model(ops in proptest::collection::vec(op(), 1..64)) {
+                let mut r = RangeSet::new();
+                let mut model = std::collections::BTreeSet::<u64>::new();
+                for op in ops {
+                    let before = model.len() as u64;
+                    match op {
+                        Op::Insert(s, l) => {
+                            let added = r.insert(s, l);
+                            model.extend(s..s + l);
+                            prop_assert_eq!(added, model.len() as u64 - before);
+                        }
+                        Op::Remove(s, l) => {
+                            let removed = r.remove(s, l);
+                            model.retain(|&b| b < s || b >= s + l);
+                            prop_assert_eq!(removed, before - model.len() as u64);
+                        }
+                        Op::Clear => {
+                            r.clear();
+                            model.clear();
+                        }
+                    }
+                    prop_assert_eq!(r.covered(), model.len() as u64);
+                    let runs: Vec<(u64, u64)> = r.iter().collect();
+                    for &(s, e) in &runs {
+                        prop_assert!(s < e, "empty run {:?}", (s, e));
+                    }
+                    for w in runs.windows(2) {
+                        prop_assert!(w[0].1 < w[1].0, "runs overlap or touch: {:?}", w);
+                    }
+                    let bytes: Vec<u64> = runs.iter().flat_map(|&(s, e)| s..e).collect();
+                    let want: Vec<u64> = model.iter().copied().collect();
+                    prop_assert_eq!(bytes, want);
+                }
+            }
+
             #[test]
             fn single_insert_near_max_round_trips(
                 (start, len) in near_max_range()
